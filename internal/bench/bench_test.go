@@ -196,6 +196,32 @@ func TestCompareAMC(t *testing.T) {
 	if !found {
 		t.Fatalf("CompareAMC = %v, want a verdict-change report", bad)
 	}
+
+	// ns_per_run: a row that pops more states at unchanged graphs/sec
+	// (a reduction that stopped firing) is caught by its run time. The
+	// two floors are independent: a faster run whose graphs/sec fell
+	// (its cheap states were removed) still trips the graphs/sec floor,
+	// which is why such a change re-records the baseline.
+	timed := func(name string, gps float64, ns int64) bench.AMCResult {
+		r := row(name, 1, "ok", gps)
+		r.NsPerRun = ns
+		return r
+	}
+	baseline = bench.AMCSuite{Results: []bench.AMCResult{
+		timed("structs/treiber", 100_000, 1_000_000),
+		timed("structs/msqueue", 100_000, 1_000_000),
+		timed("lock/ttas", 100_000, 1_000_000),
+	}}
+	fresh = bench.AMCSuite{Results: []bench.AMCResult{
+		timed("structs/treiber", 100_000, 2_000_000), // twice the states: regression
+		timed("structs/msqueue", 60_000, 800_000),    // -20% time, but graphs/sec -40%
+		timed("lock/ttas", 100_000, 1_300_000),       // +30%: inside 1/(1-0.25) = +33%
+	}}
+	bad = bench.CompareAMC(baseline, fresh, 0.25)
+	if len(bad) != 2 || !strings.Contains(bad[0], "structs/treiber") || !strings.Contains(bad[0], "ns/run") ||
+		!strings.Contains(bad[1], "structs/msqueue") || !strings.Contains(bad[1], "graphs/sec") {
+		t.Fatalf("CompareAMC = %v, want the treiber ns/run and the msqueue graphs/sec reports", bad)
+	}
 }
 
 // TestAMCSuiteJSONRoundTrip: the artifact the gate reads back must be

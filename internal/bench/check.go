@@ -21,7 +21,11 @@ func ReadAMCSuite(path string) (AMCSuite, error) {
 
 // CompareAMC is the bench regression gate: it reports every row of
 // fresh whose graphs_per_sec fell more than tol (a fraction, e.g. 0.25)
-// below the baseline row with the same (name, workers). Rows present
+// below the baseline row with the same (name, workers), and every row
+// whose ns_per_run rose past the same floor applied to runs per second
+// (baseline ns_per_run / (1 - tol)). Graphs/sec alone rewards
+// exploring cheap states and cannot see a reduction that has stopped
+// firing; the time a whole run takes can. Rows present
 // on only one side are skipped — corpus growth is not a regression —
 // and verdict changes are reported unconditionally (a different
 // verdict makes the throughput comparison meaningless and is a bug in
@@ -51,14 +55,15 @@ func CompareAMC(baseline, fresh AMCSuite, tol float64) []string {
 				r.Name, r.Workers, b.Verdict, r.Verdict))
 			continue
 		}
-		if b.GraphsPerSec <= 0 {
-			continue
-		}
-		floor := b.GraphsPerSec * (1 - tol)
-		if r.GraphsPerSec < floor {
+		if floor := b.GraphsPerSec * (1 - tol); b.GraphsPerSec > 0 && r.GraphsPerSec < floor {
 			bad = append(bad, fmt.Sprintf("%s (w=%d): graphs/sec %.0f is %.1f%% below baseline %.0f (floor %.0f at %.0f%% tolerance)",
 				r.Name, r.Workers, r.GraphsPerSec,
 				100*(1-r.GraphsPerSec/b.GraphsPerSec), b.GraphsPerSec, floor, 100*tol))
+		}
+		if ceil := float64(b.NsPerRun) / (1 - tol); b.NsPerRun > 0 && tol < 1 && float64(r.NsPerRun) > ceil {
+			bad = append(bad, fmt.Sprintf("%s (w=%d): ns/run %d is %.1f%% above baseline %d (ceiling %.0f at %.0f%% tolerance)",
+				r.Name, r.Workers, r.NsPerRun,
+				100*(float64(r.NsPerRun)/float64(b.NsPerRun)-1), b.NsPerRun, ceil, 100*tol))
 		}
 	}
 	return bad

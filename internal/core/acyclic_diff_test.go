@@ -18,7 +18,10 @@ import (
 // transitive-closure oracle and panics on disagreement. Running the
 // full litmus+lock corpus under every model, sequentially and with 4
 // workers, therefore proves the engine's verdicts identical to the
-// seed engine's on every graph the checker actually visits.
+// seed engine's on every graph the checker actually visits. The armed
+// flag also makes the explorer re-run the consistency check it skips on
+// revisit children of consistent graphs (monotonicity under
+// restriction) and panic if the model disagrees.
 
 // crossChecked runs fn with the oracle armed.
 func crossChecked(t *testing.T, fn func()) {

@@ -100,7 +100,7 @@ func (c *Checkpoint) VisitedLen() int { return len(c.visited) }
 // records are jointly one fact.)
 const (
 	ckptMagic   = "VSCK"
-	ckptVersion = 3 // v3: retry-collapse counter in Stats (v2: symmetry flag, canonicalization counters)
+	ckptVersion = 4 // v4: consistent-only frontier, check-on-add counters (v3: retry-collapse counter; v2: symmetry flag, canonicalization counters)
 
 	ckRecHeader    = 'H'
 	ckRecViolation = 'B'

@@ -3,14 +3,18 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
@@ -35,7 +39,7 @@ func ckptCorpus() []*vprog.Program {
 		harness.Litmus("SB+fences", false),                  // ok
 		harness.Litmus("IRIW", false),                       // safety violation
 		harness.Fig1PartialMCS(true),                        // await-termination violation
-		harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1),   // ok, 292 states
+		harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1),   // ok, 56 consistent states
 		harness.MutexClient(dpdk, dpdk.DefaultSpec(), 2, 1), // await-termination violation
 	}
 }
@@ -182,7 +186,7 @@ func interruptedCheckpoint(t *testing.T) *core.Checkpoint {
 	t.Helper()
 	mcs := locks.ByName("mcs")
 	c := core.New(mm.WMM)
-	c.Budget = core.Budget{MaxGraphs: 60}
+	c.Budget = core.Budget{MaxGraphs: 20} // of the 56 states the run pops
 	res := c.Run(harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1))
 	if res.Verdict != core.Undecided || res.Checkpoint == nil {
 		t.Fatalf("expected a budget interrupt, got %v", res.Verdict)
@@ -266,6 +270,65 @@ func TestCheckpointDecodeRejectsDamage(t *testing.T) {
 	// Trailing garbage after a complete image.
 	if _, err := core.DecodeCheckpoint(append(append([]byte(nil), data...), data[:24]...)); err == nil {
 		t.Fatal("image with trailing records decoded")
+	}
+}
+
+// TestResumeRejectsInconsistentFrontier: the frontier is consistent-only
+// by construction, so a well-framed checkpoint whose frontier holds a
+// graph the model forbids is damaged or crafted. Its CRCs match, so
+// decoding accepts it; the resume must refuse it with an Error result —
+// never a panic, and never a verdict drawn from forbidden executions.
+func TestResumeRejectsInconsistentFrontier(t *testing.T) {
+	mcs := locks.ByName("mcs")
+	prog := harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
+	data := interruptedCheckpoint(t).Encode()
+
+	// Re-frame the image ([4B magic][4B len LE][payload][4B CRC]) with
+	// the first unforced state record's graph extended into a coherence
+	// violation: thread 0 writes location 0, then reads its initial
+	// value.
+	var mut []byte
+	replaced := false
+	for rest := data; len(rest) > 0; {
+		n := int(binary.LittleEndian.Uint32(rest[4:8]))
+		payload := rest[8 : 8+n]
+		rest = rest[12+n:]
+		if !replaced && payload[0] == 'S' && payload[1] == 0 {
+			g, _, err := graph.DecodeGraph(payload[2:])
+			if err != nil {
+				t.Fatalf("decode frontier graph: %v", err)
+			}
+			w := &graph.Event{ID: graph.EventID{Thread: 0, Index: len(g.Threads[0])},
+				Kind: graph.KWrite, Mode: graph.Rlx, Loc: 0, Val: 7, AwaitSeq: -1}
+			g.Append(w)
+			g.InsertMo(0, w.ID, len(g.Mo[0]))
+			r := &graph.Event{ID: graph.EventID{Thread: 0, Index: len(g.Threads[0])},
+				Kind: graph.KRead, Mode: graph.Rlx, Loc: 0, RVal: g.InitVals[0], AwaitSeq: -1}
+			g.Append(r)
+			g.SetRF(r.ID, graph.FromW(graph.EventID{Thread: graph.InitThread, Index: 0}))
+			if mm.WMM.Consistent(g) {
+				t.Fatal("crafted frontier graph is consistent")
+			}
+			payload = graph.AppendGraph([]byte{'S', 0}, g)
+			replaced = true
+		}
+		mut = append(mut, "VSCK"...)
+		mut = binary.LittleEndian.AppendUint32(mut, uint32(len(payload)))
+		mut = append(mut, payload...)
+		mut = binary.LittleEndian.AppendUint32(mut, crc32.ChecksumIEEE(payload))
+	}
+	if !replaced {
+		t.Fatal("checkpoint holds no unforced frontier state to damage")
+	}
+	ck, err := core.DecodeCheckpoint(mut)
+	if err != nil {
+		t.Fatalf("re-framed image must decode: %v", err)
+	}
+	c := core.New(mm.WMM)
+	c.Resume = ck
+	res := c.Run(prog)
+	if res.Verdict != core.Error || res.Err == nil || !strings.Contains(res.Err.Error(), "inconsistent") {
+		t.Fatalf("resume from an inconsistent frontier: %v (%v), want an error naming the inconsistent state", res.Verdict, res.Err)
 	}
 }
 
@@ -353,12 +416,12 @@ func TestPeriodicCheckpointSink(t *testing.T) {
 // resumed run finishes with exactly the uninterrupted statistics. The
 // cancel is triggered from the first periodic sink call and lands at
 // the next multiple of the 256-pop cancellation cadence, so the run
-// must comfortably exceed 256 pops: the three-thread mcs client pops
-// ~2.3k states even with symmetry reduction collapsing its 3! thread
-// orbits.
+// must comfortably exceed 256 pops: the three-thread ttas client pops
+// 658 consistent states with symmetry reduction collapsing its 3!
+// thread orbits.
 func TestCancelCheckpoint(t *testing.T) {
-	mcs := locks.ByName("mcs")
-	prog := harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1)
+	ttas := locks.ByName("ttas")
+	prog := harness.MutexClient(ttas, ttas.DefaultSpec(), 3, 1)
 	base := runAt(t, mm.WMM, prog, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -15,7 +15,7 @@ import (
 type Checker struct {
 	// Model is the memory model to verify against.
 	Model mm.Model
-	// MaxGraphs bounds the number of popped exploration states; the run
+	// MaxGraphs bounds the number of popped (consistent) states; the run
 	// fails with Verdict Error when exceeded (guards against programs
 	// outside AMC's fragment).
 	MaxGraphs int
@@ -271,7 +271,14 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 			return finish(x.merge())
 		}
 	} else {
+		// The frontier holds consistent states only (see push), the root
+		// included; the empty graph always passes, but it is checked like
+		// any other state rather than assumed.
 		g0 := graph.New(len(w0.threads), w0.vars.Inits(), w0.vars.Names())
+		if !c.Model.Consistent(g0) {
+			return finish(&Result{Verdict: Error, Err: fmt.Errorf(
+				"the initial graph of %q is inconsistent under %s", p.Name, c.Model.Name())})
+		}
 		x.inflight.Store(1)
 		w0.dq.pushTail(ExploreState{g: g0})
 		x.queued.Store(1)
@@ -318,7 +325,10 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 // sequence exactly (which is what keeps the sequential explorer's
 // first-violation-in-DFS-order contract intact across segments).
 // It returns a non-nil Error result when the checkpoint does not
-// belong to this (model, program) pair.
+// belong to this (model, program) pair, or when a frontier state is
+// inconsistent: the frontier is consistent-only by construction (see
+// push), so such a state can only come from a damaged or crafted file,
+// and resuming from it would explore executions the model forbids.
 func (x *exploration) seedResume(ck *Checkpoint) *Result {
 	if want := x.c.Model.Name(); ck.Model != want {
 		return &Result{Verdict: Error, Err: fmt.Errorf(
@@ -332,6 +342,12 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 		return &Result{Verdict: Error, Err: fmt.Errorf(
 			"checkpoint was taken with symmetry reduction %v, this run has it %v (the visited keys are not comparable)",
 			ck.Sym, x.sym != nil)}
+	}
+	for i, st := range ck.frontier {
+		if st.g != nil && !x.c.Model.Consistent(st.g) {
+			return &Result{Verdict: Error, Err: fmt.Errorf(
+				"checkpoint frontier state %d is inconsistent under %s (damaged or foreign checkpoint)", i, ck.Model)}
+		}
 	}
 	x.baseStats = ck.Stats
 	x.basePopped = ck.Popped
@@ -402,16 +418,6 @@ func (w *explorer) step(it ExploreState) *Result {
 				return nil
 			}
 		}
-	}
-
-	// consM(G): discard graphs inconsistent with the memory model
-	// before spending replays on them — with the closure-free
-	// acyclicity engine the consistency verdict is usually cheaper than
-	// reconstructing three program states, and an inconsistent graph
-	// needs neither.
-	if !w.c.Model.Consistent(it.g) {
-		w.stats.Inconsist++
-		return nil
 	}
 
 	// Replay every thread against the graph (reconstructing the program
@@ -662,21 +668,41 @@ func (w *explorer) mkEvent(g *graph.Graph, t int, p *pending) *graph.Event {
 	}
 }
 
-// push buffers a child state, guarding graph size. Children publish to
-// the worker's deque only after the whole step finishes
-// (flushChildren), so thieves never observe a graph its producer is
-// still touching — which matters for writes as well as reads: the
-// producer clones a just-pushed graph again for revisit generation,
-// and Graph.Clone mutates its receiver (it clears the rf-row ownership
-// bits on both sides). The deferred publication is the happens-before
-// edge that keeps those mutations private.
-func (w *explorer) push(it ExploreState) {
+// push buffers a child state if it may join the frontier, and reports
+// whether it did. Children publish to the worker's deque only after the
+// whole step finishes (flushChildren), so thieves never observe a graph
+// its producer is still touching — which matters for writes as well as
+// reads: the producer clones a just-pushed graph again for revisit
+// generation, and Graph.Clone mutates its receiver (it clears the
+// rf-row ownership bits on both sides). The deferred publication is the
+// happens-before edge that keeps those mutations private.
+//
+// consM(G) is decided here, when the child is generated, not when it is
+// popped (the check-on-add discipline): an inconsistent child is never
+// buffered, popped, canonicalized, inserted into the visited set or
+// checkpointed, so the frontier holds consistent states only. The child
+// carries its NoteExtended hint and its parent's relations were
+// memoized by the parent's own check, so the verdict extends them by
+// one row and column instead of rebuilding them.
+func (w *explorer) push(it ExploreState) bool {
 	if it.g.NumEvents() > w.c.MaxEvents {
 		// Guard against runaway growth; the MaxGraphs guard will fire if
 		// the state space is genuinely unbounded — simply refuse to grow
 		// this branch further.
-		return
+		return false
 	}
+	if !w.c.Model.Consistent(it.g) {
+		w.stats.Inconsist++
+		it.g.DropRels()
+		return false
+	}
+	w.admit(it)
+	return true
+}
+
+// admit buffers a child already known to be consistent and within
+// MaxEvents.
+func (w *explorer) admit(it ExploreState) {
 	w.stats.Pushed++
 	w.childBuf = append(w.childBuf, it)
 }
@@ -693,8 +719,8 @@ func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap *replaySn
 		g2.Append(e)
 		g2.InsertMo(p.loc, e.ID, pos)
 		g2.NoteExtended(g, e)
-		w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
-		w.pushRevisits(g2, e)
+		ok := w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
+		w.pushRevisits(g, g2, e, ok)
 	}
 }
 
@@ -723,8 +749,8 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 			}
 			g2.InsertMo(p.loc, e.ID, src+1)
 			g2.NoteExtended(g, e)
-			w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
-			w.pushRevisits(g2, e)
+			ok := w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
+			w.pushRevisits(g, g2, e, ok)
 			continue
 		}
 		g2.NoteExtended(g, e)
@@ -748,11 +774,18 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 }
 
 // pushRevisits generates the write→read revisit children for the
-// freshly added write-like event wv in g2 (the CalcRevisits of Fig. 6):
+// write-like event wv freshly added to g, giving g2 (the CalcRevisits
+// of Fig. 6):
 // each same-location read r not in wv's porf prefix may instead read
 // from wv; the graph is restricted to the events added before r plus
 // wv's porf prefix, and r's re-addition is forced to read from wv.
-func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event) {
+//
+// Revisits are generated from every g2, admitted or not, but admitted
+// says whether g2 itself joined the frontier as consistent. Each
+// revisit child is a restriction of g2, and mm.Model's contract is that
+// a subgraph of a consistent graph is consistent, so when admitted is
+// set the children join the frontier without a check of their own.
+func (w *explorer) pushRevisits(g, g2 *graph.Graph, wv *graph.Event, admitted bool) {
 	porf := g2.PorfPrefix(wv.ID)
 	// Same-location reads in (thread, index) order — the iteration
 	// ReadsOf would return, without materializing the slice per write.
@@ -761,15 +794,19 @@ func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event) {
 			if !rdEv.IsReadLike() || rdEv.Loc != wv.Loc {
 				continue
 			}
-			w.pushRevisit(g2, wv, porf, rdEv)
+			w.pushRevisit(g, g2, wv, porf, rdEv, admitted)
 		}
 	}
 	porf.Release()
 }
 
 // pushRevisit generates the revisit child (if any) for one candidate
-// read rdEv against the freshly added write wv.
-func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.EventSet, rdEv *graph.Event) {
+// read rdEv against the freshly added write wv (g, g2 and admitted as
+// in pushRevisits). The child's relations are derived from g's, which
+// the popped graph carries from its own check: g's restriction plus wv.
+// g2's are no help — a rejected g2 usually breaks atomicity, and then
+// its relations do not restrict (Rels.Restrict).
+func (w *explorer) pushRevisit(g, g2 *graph.Graph, wv *graph.Event, porf *graph.EventSet, rdEv *graph.Event, admitted bool) {
 	rd := rdEv.ID
 	if rd == wv.ID || porf.Has(rdEv) {
 		return
@@ -831,8 +868,20 @@ func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.Eve
 	}
 	g3 := g2.Clone()
 	g3.RestrictTo(keep)
+	g3.NoteRestricted(g, wv)
 	w.stats.Revisits++
-	w.push(ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID})
+	st := ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID}
+	if !admitted {
+		w.push(st)
+		return
+	}
+	if graph.CrossCheckAcyclic && !w.c.Model.Consistent(g3) {
+		// The differential oracle for the skipped check: a model that
+		// is not monotone under restriction would let an inconsistent
+		// graph into the frontier here.
+		panic(fmt.Sprintf("core: revisit restriction of a consistent graph is inconsistent under %s", w.c.Model.Name()))
+	}
+	w.admit(st)
 }
 
 // wasteful implements W(G) (Def. 2), generalized to multi-operation

@@ -99,14 +99,14 @@ func (v Verdict) LitmusLabel() string {
 // a parallel run expands depends on pop timing. The verdict and the
 // counterexample never do (see exploration.offerViolation).
 type Stats struct {
-	Popped     int // graphs popped from the exploration frontier
-	Pushed     int // graphs pushed
+	Popped     int // consistent graphs popped from the exploration frontier
+	Pushed     int // consistent graphs pushed onto the frontier (the root excluded)
 	Executions int // complete consistent executions examined
 	Revisits   int // write→read revisit graphs generated
 	Duplicates int // graphs pruned by the visited set
 	Wasteful   int // graphs pruned by the W(G) filter (Def. 2)
 	Collapsed  int // graphs pruned by the retry-free-twin collapse
-	Inconsist  int // graphs pruned by the memory model
+	Inconsist  int // children rejected by the memory model when generated (never pushed)
 	Blocked    int // stuck graphs whose ⊥ reads were all resolvable
 
 	// Thread-symmetry reduction (zero when the program declares no

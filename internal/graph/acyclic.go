@@ -28,9 +28,10 @@ import (
 
 // CrossCheckAcyclic, when true, makes every Acyclic/AcyclicSeeded/
 // AcyclicWithOrder call also run the closure-based HasCycle oracle and
-// panic on disagreement. Test-only (the corpus differential tests flip
-// it around full explorations); it must be toggled only while no
-// checker is running.
+// panic on disagreement. The explorer also re-checks, under it, every
+// consistency verdict it skips by monotonicity (internal/core). Test-only
+// (the corpus differential tests flip it around full explorations); it
+// must be toggled only while no checker is running.
 var CrossCheckAcyclic bool
 
 // acyclicScratch pools the working state of the engine: Kahn's

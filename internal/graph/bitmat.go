@@ -94,13 +94,26 @@ func (m *BitMat) ClonePooled() *BitMat {
 // in memory for the row scans the predicates do.
 func (r *Rels) allocMats(n int) {
 	w := (n + 63) / 64
-	bits := make([]uint64, len(r.mats)*n*w)
+	need := len(r.mats) * n * w
+	var bits []uint64
+	if p, _ := slabPool.Get().(*[]uint64); p != nil && cap(*p) >= need {
+		bits = (*p)[:need]
+		clear(bits)
+	} else {
+		bits = make([]uint64, need)
+	}
 	for i := range r.mats {
 		r.mats[i] = BitMat{n: n, words: w, bits: bits[i*n*w : (i+1)*n*w]}
 	}
 	r.Sb, r.SbLoc, r.RfM, r.MoM = &r.mats[0], &r.mats[1], &r.mats[2], &r.mats[3]
 	r.FrM, r.Hb, r.Eco = &r.mats[4], &r.mats[5], &r.mats[6]
 }
+
+// slabPool recycles the matrix slabs of relation sets released by
+// Graph.DropRels: most graphs exploration builds relations for are
+// rejected by the very consistency check that built them, and their
+// slabs are reused by the next allocMats instead of becoming garbage.
+var slabPool sync.Pool
 
 // grownInto writes an (n+1)×(n+1) copy of m with the new row and
 // column empty into dst (pre-sized to n+1 and zeroed) — the

@@ -429,3 +429,164 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 	acyclicPool.Put(scratch)
 	return nr
 }
+
+// Restrict computes the relations of g, derived from the graph r
+// describes by RestrictTo with a keep set that is closed under po
+// prefixes and rf sources, and then — when appended is non-nil — by
+// appending that one event (NoteRestricted). This is the revisit child
+// of exploration: the popped graph restricted, plus the new write.
+//
+// Such a keep set is also closed under sw sources (release sides sit
+// po-before rf sources, release sequences are rf chains), so every hb
+// path into a kept event runs through kept events only. Every eco path
+// between kept events through a dropped one shortcuts to a direct mo or
+// fr edge — provided every update reads from its immediate
+// mo-predecessor. Otherwise (possible in a graph the atomicity axiom
+// rejects) paths such as w mo u fr w' through a dropped update u, or
+// the cycle u fr w mo u through a dropped write w, have no shortcut,
+// and the relations are rebuilt instead. In the common case each
+// relation of the restriction is exactly r's restricted to the kept
+// events: rows and columns are selected, never recomputed, and the two
+// transitive closures a full BuildRels needs are avoided. Stamps
+// survive RestrictTo, so the kept events keep their relative dense
+// order, and the appended event, the newest, extends them (Extend).
+// TestRestrictMatchesBuild cross-checks every matrix against BuildRels.
+func (r *Rels) Restrict(g *Graph, appended *Event) *Rels {
+	if !atomicUpdates(r.G) {
+		return BuildRels(g)
+	}
+	// kept(t) is how many events of thread t the restriction keeps.
+	kept := func(t int) int {
+		if appended != nil && appended.ID.Thread == t {
+			return appended.ID.Index
+		}
+		return len(g.Threads[t])
+	}
+	nr := &Rels{G: g, nInit: r.nInit}
+	s := acyclicPool.Get().(*acyclicScratch)
+	s.pos = int32Scratch(s.pos, r.N)
+	newIdx := s.pos // old dense index -> new, or -1 when dropped
+	for i := range newIdx {
+		newIdx[i] = -1
+	}
+	for i := 0; i < r.nInit; i++ {
+		newIdx[i] = 0
+	}
+	for t := range g.Threads {
+		for _, i := range r.tIdx[t][:kept(t)] {
+			newIdx[i] = 0
+		}
+	}
+	// Number the kept events in the parent's order, and collect the
+	// maximal runs of kept columns (runs[2k], runs[2k+1]) = [start, end).
+	var runs []int
+	for i := 0; i < r.N; i++ {
+		if newIdx[i] < 0 {
+			continue
+		}
+		if len(runs) == 0 || runs[len(runs)-1] != i {
+			runs = append(runs, i, i+1)
+		} else {
+			runs[len(runs)-1] = i + 1
+		}
+		newIdx[i] = int32(len(nr.Ev))
+		nr.Ev = append(nr.Ev, r.Ev[i])
+	}
+	nr.N = len(nr.Ev)
+	nr.tIdx = make([][]int32, len(g.Threads))
+	for t := range g.Threads {
+		row := make([]int32, kept(t))
+		for k := range row {
+			row[k] = newIdx[r.tIdx[t][k]]
+		}
+		nr.tIdx[t] = row
+	}
+
+	nr.allocMats(nr.N)
+	for m := range r.mats {
+		src, dst := &r.mats[m], &nr.mats[m]
+		for i := 0; i < r.N; i++ {
+			ni := newIdx[i]
+			if ni < 0 {
+				continue
+			}
+			if src.words == 1 {
+				v, out, at := src.bits[i], uint64(0), 0
+				for k := 0; k < len(runs); k += 2 {
+					n := runs[k+1] - runs[k]
+					out |= (v >> uint(runs[k]) & (1<<uint(n) - 1)) << uint(at)
+					at += n
+				}
+				dst.bits[ni] = out
+				continue
+			}
+			srow := src.bits[i*src.words : (i+1)*src.words]
+			drow := dst.bits[int(ni)*dst.words : (int(ni)+1)*dst.words]
+			at := 0
+			for k := 0; k < len(runs); k += 2 {
+				copyBitRange(drow, at, srow, runs[k], runs[k+1]-runs[k])
+				at += runs[k+1] - runs[k]
+			}
+		}
+	}
+
+	// A subsequence of a topological order is one of the restricted
+	// union; a cyclic union may have lost its cycle, so it is left for
+	// lazy re-derivation.
+	if r.topoState == topoValid {
+		nr.topo = make([]int32, 0, nr.N)
+		for _, v := range r.topo {
+			if ni := newIdx[v]; ni >= 0 {
+				nr.topo = append(nr.topo, ni)
+			}
+		}
+		nr.topoState = topoValid
+	}
+	acyclicPool.Put(s)
+	if appended == nil {
+		return nr
+	}
+	ext := nr.Extend(g, appended)
+	nr.releaseSlab()
+	return ext
+}
+
+// atomicUpdates reports whether every update of g is atomic — reads
+// from its immediate mo-predecessor — the condition under which
+// Restrict may select relations.
+func atomicUpdates(g *Graph) bool {
+	for _, evs := range g.Threads {
+		for _, e := range evs {
+			if e.Kind != KUpdate || e.Degraded {
+				continue
+			}
+			rf := g.RfOf(e.ID)
+			if self := g.MoIndex(e.Loc, e.ID); !rf.Bottom && self >= 0 && g.MoIndex(e.Loc, rf.W) != self-1 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// copyBitRange ORs the n bits of src starting at bit from into dst
+// starting at bit at (dst's range must be zero).
+func copyBitRange(dst []uint64, at int, src []uint64, from, n int) {
+	for n > 0 {
+		c := min(n, 64)
+		w, o := from/64, uint(from%64)
+		v := src[w] >> o
+		if o != 0 && int(64-o) < c {
+			v |= src[w+1] << (64 - o)
+		}
+		if c < 64 {
+			v &= 1<<uint(c) - 1
+		}
+		w, o = at/64, uint(at%64)
+		dst[w] |= v << o
+		if o != 0 && int(64-o) < c {
+			dst[w+1] |= v >> (64 - o)
+		}
+		at, from, n = at+c, from+c, n-c
+	}
+}

@@ -158,6 +158,134 @@ func TestExtendMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestRestrictMatchesBuild is the correctness bar of restricted
+// relations: on randomized histories, restricting a graph to a random
+// keep set closed under po prefixes and rf sources (the shape of the
+// revisit restriction), optionally followed by re-appending the newest
+// event as a revisit child does with its write, must make Rels.Restrict
+// produce exactly the matrices BuildRels derives from scratch.
+func TestRestrictMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	selected := 0 // restrictions that dropped events and took the selecting path
+	for trial := 0; trial < 60; trial++ {
+		nThreads := 2 + rng.Intn(2)
+		nLocs := 1 + rng.Intn(3)
+		randExtendHistory(t, rng, nThreads, nLocs, 14, func(_ *Rels, g *Graph, e *Event) {
+			// parent is g without e, or g itself; appended is what the
+			// restriction re-appends.
+			parent, appended := g, (*Event)(nil)
+			if rng.Intn(2) == 0 {
+				parent, appended = g.Clone(), e
+				all := NewEventSet(g.NextStamp)
+				for _, evs := range g.Threads {
+					for _, x := range evs {
+						if x != e {
+							all.Add(x)
+						}
+					}
+				}
+				parent.RestrictTo(all)
+			}
+			pr := BuildRels(parent)
+			if rng.Intn(2) == 0 {
+				pr.ensureTopo()
+			}
+			keep := NewEventSet(g.NextStamp)
+			for _, evs := range parent.Threads {
+				for _, x := range evs[:rng.Intn(len(evs)+1)] {
+					keep.Add(x)
+				}
+			}
+			// Closure-drop, as the revisit restriction does it: a kept
+			// read whose source is dropped goes, with the rest of its
+			// thread.
+			for changed := true; changed; {
+				changed = false
+				for _, evs := range parent.Threads {
+					alive := true
+					for _, x := range evs {
+						if !keep.Has(x) {
+							alive = false
+							continue
+						}
+						rf := parent.RfOf(x.ID)
+						if !alive || (x.IsReadLike() && !rf.Bottom && !rf.W.IsInit() && !keep.Has(parent.Event(rf.W))) {
+							keep.Remove(x)
+							alive, changed = false, true
+						}
+					}
+				}
+			}
+			if appended != nil {
+				// The appended event needs its po prefix and rf source.
+				rf := g.RfOf(e.ID)
+				if len(g.Threads[e.ID.Thread]) > 1 && !keep.Has(g.Threads[e.ID.Thread][e.ID.Index-1]) ||
+					e.IsReadLike() && !rf.Bottom && !rf.W.IsInit() && !keep.Has(g.Event(rf.W)) {
+					return
+				}
+				keep.Add(e)
+			}
+			g3 := g.Clone()
+			g3.RestrictTo(keep)
+			if g3.NumEvents() < g.NumEvents() && atomicUpdates(parent) {
+				selected++
+			}
+			got, want := pr.Restrict(g3, appended), BuildRels(g3)
+			if got.N != want.N {
+				t.Fatalf("trial %d: N=%d, want %d", trial, got.N, want.N)
+			}
+			for i, ev := range want.Ev {
+				if got.Ev[i] != ev {
+					t.Fatalf("trial %d: Ev[%d] = %v, want %v", trial, i, got.Ev[i].ID, ev.ID)
+				}
+			}
+			for _, evs := range g3.Threads {
+				for _, x := range evs {
+					if got.IndexOf(x.ID) != want.IndexOf(x.ID) {
+						t.Fatalf("trial %d: index of %v is %d, want %d", trial, x.ID, got.IndexOf(x.ID), want.IndexOf(x.ID))
+					}
+				}
+			}
+			for m := range want.mats {
+				if !got.mats[m].Equal(&want.mats[m]) {
+					t.Fatalf("trial %d: matrix %d differs after restriction (appended %v)\ngraph:\n%s\nrestricted:\n%s",
+						trial, m, appended != nil, g.Render(), g3.Render())
+				}
+			}
+			assertTopoInvariant(t, got, g3)
+		})
+	}
+	if selected < 100 {
+		t.Fatalf("only %d restrictions took the selecting path", selected)
+	}
+}
+
+// TestCopyBitRange pins the multi-word row compaction of Rels.Restrict
+// (rows past 64 events) against a bit-by-bit copy, at every alignment
+// of source and destination.
+func TestCopyBitRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := make([]uint64, 3)
+	for i := range src {
+		src[i] = rng.Uint64()
+	}
+	get := func(v []uint64, i int) bool { return v[i/64]&(1<<uint(i%64)) != 0 }
+	for from := 0; from < 192; from++ {
+		for at := 0; at < 192; at += 7 {
+			for n := 0; from+n <= 192 && at+n <= 192; n += 1 + n/3 {
+				dst := make([]uint64, 3)
+				copyBitRange(dst, at, src, from, n)
+				for i := 0; i < 192; i++ {
+					want := i >= at && i < at+n && get(src, from+i-at)
+					if get(dst, i) != want {
+						t.Fatalf("copyBitRange(at=%d, from=%d, n=%d): bit %d is %v, want %v", at, from, n, i, !want, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // assertTopoInvariant checks the cached-order contract of r against
 // ground truth: topoValid and topoCyclic must match the actual
 // acyclicity of sb ∪ rf ∪ mo (decided by the closure oracle), a valid

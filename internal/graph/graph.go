@@ -68,9 +68,11 @@ type Graph struct {
 	// (see RelsOf); every mutation invalidates it. extParent/extEvent
 	// record that this graph was derived from extParent by either
 	// appending exactly extEvent (extKind == extAppend, plus its rf/mo
-	// bookkeeping) or resolving the formerly-⊥ trailing read extEvent
-	// (extKind == extResolve), which lets RelsOf derive the relations
-	// incrementally from the parent instead of rebuilding from scratch.
+	// bookkeeping), resolving the formerly-⊥ trailing read extEvent
+	// (extKind == extResolve), or restricting it to a po- and rf-closed
+	// subset of its events and appending extEvent, if any (extKind ==
+	// extRestrict), which lets RelsOf derive the relations incrementally
+	// from the parent instead of rebuilding from scratch.
 	rels      *Rels
 	extParent *Graph
 	extEvent  *Event
@@ -82,6 +84,7 @@ const (
 	extNone uint8 = iota
 	extAppend
 	extResolve
+	extRestrict
 )
 
 // invalidate drops the memoized relations and the extension hint; every
@@ -110,6 +113,17 @@ func (g *Graph) NoteExtended(parent *Graph, e *Event) {
 // scan, which tries one such resolution per candidate write.
 func (g *Graph) NoteResolved(parent *Graph, e *Event) {
 	g.extParent, g.extEvent, g.extKind = parent, e, extResolve
+}
+
+// NoteRestricted records that g was derived from parent by RestrictTo
+// with a keep set closed under po prefixes and rf sources — every kept
+// read's source is kept, as the revisit restriction's closure-drop
+// guarantees — followed, when appended is non-nil, by appending that
+// event (the newest in g). RelsOf uses the hint to select the parent's
+// relations instead of rebuilding them (Rels.Restrict). Call it after
+// the last mutation.
+func (g *Graph) NoteRestricted(parent *Graph, appended *Event) {
+	g.extParent, g.extEvent, g.extKind = parent, appended, extRestrict
 }
 
 // New returns an empty graph for nthreads threads and the given

@@ -152,24 +152,51 @@ func (r *Rels) IndexOf(id EventID) int {
 // (NoteExtended) and its parent's relations are still memoized, the
 // result is computed incrementally from the parent instead of from
 // scratch — the common case during exploration, where every branch is
-// parent-plus-one-event.
+// parent-plus-one-event. A parent that has no relations yet but carries
+// a hint of its own gets them derived first: a revisit restriction
+// admitted without a check has none until its first child asks.
 func RelsOf(g *Graph) *Rels {
 	if g.rels != nil {
 		return g.rels
 	}
+	p := g.extParent
+	if p != nil && p.rels == nil && p.extKind != extNone {
+		RelsOf(p)
+	}
 	switch {
-	case g.extKind == extAppend && g.extParent != nil && g.extParent.rels != nil:
-		g.rels = g.extParent.rels.Extend(g, g.extEvent)
-	case g.extKind == extResolve && g.extParent != nil && g.extParent.rels != nil:
-		g.rels = g.extParent.rels.Resolve(g, g.extEvent)
-	default:
+	case p == nil || p.rels == nil:
 		g.rels = BuildRels(g)
+	case g.extKind == extAppend:
+		g.rels = p.rels.Extend(g, g.extEvent)
+	case g.extKind == extResolve:
+		g.rels = p.rels.Resolve(g, g.extEvent)
+	default: // extRestrict
+		g.rels = p.rels.Restrict(g, g.extEvent)
 	}
 	// Drop the hint: it has served its purpose, and holding it would
 	// pin the whole ancestor chain (graphs and relations) in memory.
 	g.extParent, g.extEvent = nil, nil
 	g.extKind = extNone
 	return g.rels
+}
+
+// DropRels releases g's memoized relations for reuse by later
+// relation sets. The caller guarantees that nothing holds them any
+// more: g is being discarded, and no graph derived from g through
+// NoteExtended, NoteResolved or NoteRestricted will ask for them.
+func (g *Graph) DropRels() {
+	if r := g.rels; r != nil {
+		g.rels = nil
+		r.releaseSlab()
+	}
+}
+
+// releaseSlab hands r's matrix slab to the next allocMats; r is unusable
+// afterwards.
+func (r *Rels) releaseSlab() {
+	bits := r.mats[0].bits[:0:cap(r.mats[0].bits)]
+	r.mats = [7]BitMat{}
+	slabPool.Put(&bits)
 }
 
 // BuildRels computes all derived relations of g from scratch.
